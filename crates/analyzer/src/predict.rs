@@ -123,8 +123,11 @@ impl Bus for WatchedBus {
     fn ram(&self) -> &[u8] {
         self.inner.ram()
     }
-    fn ram_mut(&mut self) -> &mut [u8] {
-        self.inner.ram_mut()
+    fn load(&mut self, pa: u32, bytes: &[u8]) {
+        self.inner.load(pa, bytes)
+    }
+    fn written_pages(&self) -> Option<&[u64]> {
+        self.inner.written_pages()
     }
     fn ram_size(&self) -> u32 {
         self.inner.ram_size()

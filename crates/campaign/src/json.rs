@@ -7,7 +7,6 @@
 //! garbage.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,23 +78,7 @@ impl Value {
 
 /// Escape and quote a string for JSON output.
 pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", simbench_obs::trace::escape(s))
 }
 
 /// Format a float so it parses back exactly and never prints as

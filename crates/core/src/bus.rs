@@ -24,8 +24,21 @@ pub trait Bus {
     /// Bytes of RAM, mapped at physical address zero.
     fn ram(&self) -> &[u8];
 
-    /// Mutable view of RAM.
-    fn ram_mut(&mut self) -> &mut [u8];
+    /// Copy `bytes` into RAM at physical address `pa` (image loading).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range lies outside RAM.
+    fn load(&mut self, pa: u32, bytes: &[u8]);
+
+    /// Bitmap of the RAM pages ([`crate::PAGE_SIZE`] granule) this bus
+    /// has written since it was created: bit `p % 64` of word `p / 64`
+    /// covers page `p`. Every page whose bit is clear is all zero, so
+    /// digests and diffs may skip it. `None` means the bus does not
+    /// track writes and every page must be visited.
+    fn written_pages(&self) -> Option<&[u64]> {
+        None
+    }
 
     /// RAM size in bytes. Physical addresses at or above this decode to
     /// devices (or nothing).
@@ -101,6 +114,11 @@ impl FlatRam {
     pub fn new(size: usize) -> Self {
         FlatRam { mem: vec![0; size] }
     }
+
+    /// Mutable view of RAM, for fixtures that poke memory directly.
+    pub fn ram_mut(&mut self) -> &mut [u8] {
+        &mut self.mem
+    }
 }
 
 impl Bus for FlatRam {
@@ -108,8 +126,8 @@ impl Bus for FlatRam {
         &self.mem
     }
 
-    fn ram_mut(&mut self) -> &mut [u8] {
-        &mut self.mem
+    fn load(&mut self, pa: u32, bytes: &[u8]) {
+        self.mem[pa as usize..pa as usize + bytes.len()].copy_from_slice(bytes);
     }
 
     fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {

@@ -7,11 +7,27 @@
 //! excluded — the paper's premise is that engines share *architectural*
 //! semantics while differing in cost profile.
 //!
-//! Hashing is FNV-1a over 64-bit lanes: dependency-free, deterministic
-//! across hosts, and fast enough to digest the platform's full RAM at
-//! every lockstep checkpoint.
+//! Hashing is FNV-1a over 64-bit lanes: dependency-free and
+//! deterministic across hosts.
+//!
+//! RAM is digested page by page ([`ram_digest`]): the hash of every
+//! non-zero [`PAGE_SIZE`]-byte page, keyed by its page index, in
+//! ascending order, then the RAM length. All-zero pages contribute
+//! nothing, so the value depends on RAM content alone. That lets a bus
+//! which tracks written pages ([`Bus::written_pages`]) hash only those:
+//! its RAM is mutated only through [`Bus::write`] and [`Bus::load`],
+//! which mark the pages they touch, so an unmarked page is all zero.
+//! A lockstep checkpoint then costs what the guest touched, not the
+//! size of RAM, and a bus without the map gets the same digest from a
+//! scan of every page.
+//!
+//! [`Bus::written_pages`]: crate::bus::Bus::written_pages
+//! [`Bus::write`]: crate::bus::Bus::write
+//! [`Bus::load`]: crate::bus::Bus::load
 
 use std::fmt;
+
+use crate::PAGE_SIZE;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -66,6 +82,51 @@ impl Default for Fnv1a {
     }
 }
 
+/// Indices of the set bits of a page bitmap (bit `p % 64` of word
+/// `p / 64` is page `p`), ascending.
+pub fn marked_pages(map: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    map.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
+/// The canonical RAM digest: FNV-1a over `(page index, page hash)` for
+/// each non-zero page among `pages`, then the RAM length.
+///
+/// `pages` must be ascending and include every non-zero page of `ram`;
+/// given that, the result is the same whichever superset is passed.
+pub fn ram_digest(ram: &[u8], pages: impl IntoIterator<Item = usize>) -> u64 {
+    let mut h = Fnv1a::new();
+    for p in pages {
+        let page = page_bytes(ram, p);
+        if page.iter().fold(0, |acc, &b| acc | b) != 0 {
+            let mut ph = Fnv1a::new();
+            ph.write_bytes(page);
+            h.write_u64(p as u64);
+            h.write_u64(ph.finish());
+        }
+    }
+    h.write_u64(ram.len() as u64);
+    h.finish()
+}
+
+/// Page `p` of `ram`; the last page may be short.
+pub(crate) fn page_bytes(ram: &[u8], p: usize) -> &[u8] {
+    let start = p * PAGE_SIZE as usize;
+    &ram[start..ram.len().min(start + PAGE_SIZE as usize)]
+}
+
+/// Number of pages covering `len` bytes of RAM.
+pub(crate) fn page_count(len: usize) -> usize {
+    len.div_ceil(PAGE_SIZE as usize)
+}
+
 /// A snapshot digest of one machine's architectural state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateDigest {
@@ -73,7 +134,7 @@ pub struct StateDigest {
     pub cpu: u64,
     /// Hash over the ISA system-register file.
     pub sys: u64,
-    /// Hash over all of physical RAM.
+    /// Hash over physical RAM ([`ram_digest`]).
     pub ram: u64,
 }
 
@@ -137,6 +198,45 @@ mod tests {
         let mut b = Fnv1a::new();
         b.write_bytes(&[1, 0]);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn marked_pages_lists_set_bits_in_order() {
+        let map = [0b1010_0001u64, 0, 1 << 63 | 1];
+        assert_eq!(
+            marked_pages(map).collect::<Vec<_>>(),
+            vec![0, 5, 7, 128, 191]
+        );
+        assert_eq!(marked_pages([0u64; 4]).count(), 0);
+    }
+
+    #[test]
+    fn ram_digest_depends_on_content_alone() {
+        let len = 3 * PAGE_SIZE as usize + 100;
+        let mut ram = vec![0u8; len];
+        let all = || 0..page_count(len);
+        let zero = ram_digest(&ram, all());
+        assert_eq!(ram_digest(&ram, [1, 3]), zero, "zero pages are skipped");
+        ram[len - 1] = 7;
+        let tail = ram_digest(&ram, all());
+        assert_ne!(tail, zero);
+        assert_eq!(ram_digest(&ram, [3]), tail, "short last page");
+        ram[len - 1] = 0;
+        assert_eq!(ram_digest(&ram, all()), zero, "rewritten to zero");
+        assert_ne!(
+            ram_digest(&ram[..len - 1], all()),
+            zero,
+            "length is part of the digest"
+        );
+    }
+
+    #[test]
+    fn ram_digest_keys_pages_by_index() {
+        let mut a = vec![0u8; 2 * PAGE_SIZE as usize];
+        let mut b = a.clone();
+        a[0] = 1;
+        b[PAGE_SIZE as usize] = 1;
+        assert_ne!(ram_digest(&a, 0..2), ram_digest(&b, 0..2));
     }
 
     #[test]

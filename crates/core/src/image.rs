@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::bus::Bus;
+
 /// A chunk of bytes to be loaded at a fixed physical address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Section {
@@ -67,21 +69,20 @@ impl GuestImage {
         self.sections.iter().map(Section::end).max().unwrap_or(0)
     }
 
-    /// Copy all sections into `ram`.
+    /// Copy all sections into the bus's RAM.
     ///
     /// # Panics
     ///
-    /// Panics if any section lies outside `ram`.
-    pub fn load_into(&self, ram: &mut [u8]) {
+    /// Panics if any section lies outside RAM.
+    pub fn load_into<B: Bus>(&self, bus: &mut B) {
         for s in &self.sections {
-            let start = s.addr as usize;
-            let end = start + s.bytes.len();
+            let end = s.addr as usize + s.bytes.len();
             assert!(
-                end <= ram.len(),
+                end <= bus.ram().len(),
                 "image section {:#x}..{end:#x} exceeds RAM",
                 s.addr
             );
-            ram[start..end].copy_from_slice(&s.bytes);
+            bus.load(s.addr, &s.bytes);
         }
     }
 }
@@ -113,6 +114,7 @@ impl fmt::Display for GuestImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::FlatRam;
 
     #[test]
     fn load_and_limits() {
@@ -121,10 +123,10 @@ mod tests {
         img.push_section(0x20, vec![9]);
         assert_eq!(img.size(), 5);
         assert_eq!(img.limit(), 0x21);
-        let mut ram = vec![0u8; 0x40];
+        let mut ram = FlatRam::new(0x40);
         img.load_into(&mut ram);
-        assert_eq!(&ram[0x10..0x14], &[1, 2, 3, 4]);
-        assert_eq!(ram[0x20], 9);
+        assert_eq!(&ram.ram()[0x10..0x14], &[1, 2, 3, 4]);
+        assert_eq!(ram.ram()[0x20], 9);
     }
 
     #[test]
@@ -148,7 +150,7 @@ mod tests {
     fn load_out_of_bounds() {
         let mut img = GuestImage::new(0);
         img.push_section(0x100, vec![0; 8]);
-        let mut ram = vec![0u8; 0x100];
+        let mut ram = FlatRam::new(0x100);
         img.load_into(&mut ram);
     }
 }

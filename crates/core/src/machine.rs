@@ -1,7 +1,9 @@
 //! The machine: CPU + system registers + physical bus.
 
 use crate::cpu::CpuState;
-use crate::digest::{Fnv1a, StateDelta, StateDigest};
+use crate::digest::{
+    marked_pages, page_bytes, page_count, ram_digest, Fnv1a, StateDelta, StateDigest,
+};
 use crate::image::GuestImage;
 use crate::isa::Isa;
 
@@ -29,7 +31,7 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
     ///
     /// Panics if the image does not fit in the bus's RAM.
     pub fn boot(image: &GuestImage, mut bus: B) -> Self {
-        image.load_into(bus.ram_mut());
+        image.load_into(&mut bus);
         Machine {
             cpu: CpuState::at_reset(image.entry),
             sys: I::Sys::default(),
@@ -57,7 +59,8 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
 
     /// Digest of the architectural state: GPRs, PC, flags, privilege,
     /// IRQ mask, ISA system registers (via [`Isa::sys_regs`]), and all
-    /// of RAM.
+    /// of RAM. RAM costs only its written pages when the bus tracks
+    /// them; the value is the same either way ([`ram_digest`]).
     ///
     /// Engine-private state (TLBs, decode caches, event counters) and
     /// device-internal state are excluded: the former is legitimately
@@ -72,20 +75,26 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
         cpu.write_u32(Self::status_word(&self.cpu));
         let mut sys = Fnv1a::new();
         I::sys_regs(&self.sys, &mut |_, v| sys.write_u32(v));
-        let mut ram = Fnv1a::new();
-        ram.write_bytes(self.bus.ram());
+        let ram = self.bus.ram();
+        let ram = match self.bus.written_pages() {
+            Some(map) => ram_digest(ram, marked_pages(map.iter().copied())),
+            None => ram_digest(ram, 0..page_count(ram.len())),
+        };
         StateDigest {
             cpu: cpu.finish(),
             sys: sys.finish(),
-            ram: ram.finish(),
+            ram,
         }
     }
 
     /// Field-by-field architectural diff against another machine of the
     /// same ISA, for reporting after a digest mismatch.
     ///
-    /// RAM is compared word-wise and reported as `ram[0x<pa>]` deltas,
-    /// capped at [`Machine::MAX_RAM_DELTAS`] entries.
+    /// RAM is compared word-wise and reported as `ram[0x<pa>]` deltas in
+    /// ascending address order, capped at [`Machine::MAX_RAM_DELTAS`]
+    /// entries. When both buses track written pages and their RAM sizes
+    /// match, only pages either machine wrote are compared (the rest are
+    /// zero on both sides); otherwise every page is.
     pub fn state_diff<B2: crate::bus::Bus>(&self, other: &Machine<I, B2>) -> Vec<StateDelta> {
         const REG_NAMES: [&str; crate::cpu::MAX_GPRS] = [
             "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13",
@@ -117,17 +126,30 @@ impl<I: Isa, B: crate::bus::Bus> Machine<I, B> {
         });
         let (ra, rb) = (self.bus.ram(), other.bus.ram());
         push("ram_len".to_string(), ra.len() as u32, rb.len() as u32);
-        let mut ram_deltas = 0usize;
-        for (i, (ca, cb)) in ra.chunks_exact(4).zip(rb.chunks_exact(4)).enumerate() {
-            if ca != cb {
-                deltas.push(StateDelta {
-                    field: format!("ram[{:#010x}]", i * 4),
-                    a: u32::from_le_bytes(ca.try_into().unwrap()),
-                    b: u32::from_le_bytes(cb.try_into().unwrap()),
-                });
-                ram_deltas += 1;
-                if ram_deltas >= Self::MAX_RAM_DELTAS {
-                    break;
+        let len = ra.len().min(rb.len());
+        let pages: Vec<usize> = match (self.bus.written_pages(), other.bus.written_pages()) {
+            (Some(ma), Some(mb)) if ra.len() == rb.len() => {
+                marked_pages(ma.iter().zip(mb).map(|(a, b)| a | b)).collect()
+            }
+            _ => (0..page_count(len)).collect(),
+        };
+        let (ra, rb) = (&ra[..len], &rb[..len]);
+        let ram_start = deltas.len();
+        'pages: for p in pages {
+            let base = p * crate::PAGE_SIZE as usize;
+            let words = page_bytes(ra, p)
+                .chunks_exact(4)
+                .zip(page_bytes(rb, p).chunks_exact(4));
+            for (i, (ca, cb)) in words.enumerate() {
+                if ca != cb {
+                    if deltas.len() - ram_start == Self::MAX_RAM_DELTAS {
+                        break 'pages;
+                    }
+                    deltas.push(StateDelta {
+                        field: format!("ram[{:#010x}]", base + i * 4),
+                        a: u32::from_le_bytes(ca.try_into().unwrap()),
+                        b: u32::from_le_bytes(cb.try_into().unwrap()),
+                    });
                 }
             }
         }

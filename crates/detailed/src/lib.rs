@@ -654,9 +654,7 @@ mod tests {
         a.load(PReg::B, PReg::A, 0);
         a.halt();
         let img = a.finish(0x8000);
-        let mut p = simbench_platform::Platform::with_ram(1 << 20);
-        use simbench_core::bus::Bus as _;
-        let _ = p.ram_mut();
+        let p = simbench_platform::Platform::with_ram(1 << 20);
         let mut m = Machine::<Armlet, _>::boot(&img, p);
         let mut e = Detailed::<Armlet>::new().with_unimplemented_pages(&[0xF000_3000 >> 12]);
         let out = e.run(&mut m, &RunLimits::insns(1000));

@@ -583,7 +583,8 @@ where
 mod tests {
     use super::*;
     use simbench_core::asm::{PReg, PortableAsm};
-    use simbench_core::ir::{AluOp, Cond};
+    use simbench_core::bus::Bus;
+    use simbench_core::ir::{AluOp, Cond, MemSize};
     use simbench_isa_armlet::{Armlet, ArmletAsm};
 
     /// Flat ALU loop retiring `2 + 4*passes + 1` instructions, then halt.
@@ -610,13 +611,31 @@ mod tests {
         }
     }
 
-    /// An interpreter that flips a bit in `r3` the first time its
-    /// cumulative retired count crosses `trip` — a stand-in for an
-    /// engine with a bug that manifests mid-run.
+    /// An interpreter that applies `corrupt` to the machine the first
+    /// time its cumulative retired count crosses `trip` — a stand-in
+    /// for an engine with a bug that manifests mid-run.
     struct Broken {
         inner: Interp<Armlet>,
         trip: u64,
         total: u64,
+        corrupt: fn(&mut Machine<Armlet, Platform>),
+    }
+
+    /// The engine side of a [`Broken`] interpreter.
+    fn broken_side(
+        trip: u64,
+        corrupt: fn(&mut Machine<Armlet, Platform>),
+    ) -> DifferEngine<impl Fn() -> Broken> {
+        DifferEngine {
+            label: "broken".to_string(),
+            make: move || Broken {
+                inner: Interp::new(),
+                trip,
+                total: 0,
+                corrupt,
+            },
+            insn_granular: true,
+        }
     }
 
     impl Engine<Armlet, Platform> for Broken {
@@ -629,7 +648,7 @@ mod tests {
             let before = self.total;
             self.total += out.counters.instructions;
             if before < self.trip && self.total >= self.trip {
-                m.cpu.regs[3] ^= 0x10;
+                (self.corrupt)(m);
             }
             out
         }
@@ -667,15 +686,7 @@ mod tests {
         let report = lockstep_with::<Armlet, _, _, _, _>(
             &image,
             interp_side("interp"),
-            DifferEngine {
-                label: "broken".to_string(),
-                make: move || Broken {
-                    inner: Interp::new(),
-                    trip,
-                    total: 0,
-                },
-                insn_granular: true,
-            },
+            broken_side(trip, |m| m.cpu.regs[3] ^= 0x10),
             &cfg,
             "loop",
         );
@@ -692,6 +703,45 @@ mod tests {
         );
         assert_eq!(d.deltas.len(), 1, "only r3 differs");
         assert!(report.render().contains("DIVERGED at instruction 3137"));
+    }
+
+    #[test]
+    fn ram_corruption_in_an_untouched_page_is_caught() {
+        // The guest never touches this page, so only the corrupting
+        // store marks it: the written-page digest and diff must still
+        // see it.
+        const PA: u32 = 0x40_0000;
+        let image = loop_image(2_000);
+        let trip = 5_321;
+        let cfg = DifferConfig {
+            max_insns: 10_000,
+            checkpoints: 4,
+            scale: 20_000,
+        };
+        let report = lockstep_with::<Armlet, _, _, _, _>(
+            &image,
+            interp_side("interp"),
+            broken_side(trip, |m| {
+                let v = m.bus.read(PA, MemSize::B4).unwrap();
+                m.bus.write(PA, !v, MemSize::B4).unwrap();
+            }),
+            &cfg,
+            "loop",
+        );
+        let Verdict::Diverged(d) = &report.verdict else {
+            panic!("expected divergence, got: {}", report.render());
+        };
+        assert_eq!(d.first_bad, trip, "{}", report.render());
+        assert_eq!(
+            d.deltas,
+            [StateDelta {
+                field: format!("ram[{PA:#010x}]"),
+                a: 0,
+                b: 0xffff_ffff,
+            }],
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -69,6 +69,7 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use simbench_apps::App;
 use simbench_campaign::{
@@ -106,6 +107,37 @@ const USAGE: &str = "usage: simbench-harness <fig2|fig3|fig4|fig5|fig6|fig7|fig8
 global flags (anywhere on the line): --quiet (warnings only), -v/--verbose (debug)
 exit codes: 0 clean, 1 failure/regression, 2 broken coverage, 3 usage,
             4 merge/journal data error, 130 interrupted (SIGINT/SIGTERM)";
+
+/// Set once stdout's reader has gone away; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout. A reader that closes the pipe early (`... | head
+/// -1`) does not stop the run, which still writes the files it was
+/// asked for, and makes the exit status 0 as for any Unix filter,
+/// rather than the panic `print!` raises. Any other write error exits 1.
+fn emit(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("simbench-harness: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn fail(msg: &str) -> ! {
     eprintln!("simbench-harness: {msg}");
@@ -166,7 +198,7 @@ fn main() -> ExitCode {
     } else if verbose {
         simbench_obs::log::set_level(simbench_obs::log::LEVEL_DEBUG);
     }
-    match argv.first().map(String::as_str) {
+    let code = match argv.first().map(String::as_str) {
         Some("campaign") => {
             argv.remove(0);
             campaign_main(argv)
@@ -196,6 +228,11 @@ fn main() -> ExitCode {
             lint_main(argv)
         }
         _ => figures_main(argv),
+    };
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        ExitCode::SUCCESS
+    } else {
+        code
     }
 }
 
@@ -220,11 +257,11 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
             "--jobs" => jobs = args.parse_of::<usize>("--jobs").max(1),
             "--out" => out_path = Some(args.value_of("--out")),
             "--list" | "list" => {
-                print!("{}", render_list());
+                out!("{}", render_list());
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             name if !name.starts_with('-') && which.is_none() => which = Some(name.to_string()),
@@ -272,7 +309,7 @@ fn figures_main(argv: Vec<String>) -> ExitCode {
         run_one(&which, &mut output);
     }
 
-    print!("{output}");
+    out!("{output}");
     if let Some(path) = out_path {
         write_file(&path, output.as_bytes());
     }
@@ -290,7 +327,7 @@ fn campaign_main(argv: Vec<String>) -> ExitCode {
         Some("merge") => campaign_merge(args),
         Some("compare") => campaign_compare(args),
         Some("list") => {
-            print!("{}", render_list());
+            out!("{}", render_list());
             ExitCode::SUCCESS
         }
         Some(other) => fail(&format!("unknown campaign subcommand {other:?}")),
@@ -549,7 +586,7 @@ fn campaign_run(mut args: Args) -> ExitCode {
             result.telemetry = Some(telemetry);
         }
     }
-    print!("{}", render_summary(&result));
+    out!("{}", render_summary(&result));
     if let Some(path) = out_path {
         let _obs = simbench_obs::span!("campaign.persist");
         write_file(&path, result.to_json().as_bytes());
@@ -626,7 +663,7 @@ fn campaign_merge(mut args: Args) -> ExitCode {
         merged.cells.len(),
         merged.name
     );
-    print!("{}", render_summary(&merged));
+    out!("{}", render_summary(&merged));
     write_file(&out_path, merged.to_json().as_bytes());
     ExitCode::SUCCESS
 }
@@ -682,11 +719,11 @@ fn campaign_compare(mut args: Args) -> ExitCode {
     // 3 for usage errors and unreadable inputs.
     let (clean, broke) = if counters {
         let report = compare_counters(&baseline, &current, tolerance.unwrap_or(0.0));
-        print!("{}", report.render());
+        out!("{}", report.render());
         (report.clean(), !report.broken().is_empty())
     } else {
         let report = compare(&baseline, &current, threshold.unwrap_or(0.25));
-        print!("{}", report.render());
+        out!("{}", report.render());
         (report.clean(), !report.broken().is_empty())
     };
     if broke {
@@ -793,26 +830,32 @@ fn model_main(argv: Vec<String>) -> ExitCode {
         "calibrate" => {
             let cost = model::CostModel::from_campaign(&m.result, &m.guest, &m.engine)
                 .unwrap_or_else(|e| fail(&e));
-            println!(
+            outln!(
                 "cost model for {}/{} (campaign {:?}, scale {})",
-                m.guest, m.engine, m.result.name, m.result.scale
+                m.guest,
+                m.engine,
+                m.result.name,
+                m.result.scale
             );
-            println!("  base cost per instruction: {:.3e} s", cost.per_insn);
+            outln!("  base cost per instruction: {:.3e} s", cost.per_insn);
             let mut table = Table::new(["benchmark", "cost per tested op"]);
             for (bench, cost) in &cost.per_op {
                 table.row([bench.name().to_string(), format!("{cost:.3e} s")]);
             }
-            print!("{}", table.render());
+            out!("{}", table.render());
             ExitCode::SUCCESS
         }
         "predict" | "validate" => {
             let preds =
                 model::predict_from_campaign(&m.result, &m.guest, &m.engine, &m.profile_engine)
                     .unwrap_or_else(|e| fail(&e));
-            println!(
+            outln!(
                 "model {verb} for {}/{} — costs calibrated from campaign {:?}, \
                  app event profiles from engine {}",
-                m.guest, m.engine, m.result.name, m.profile_engine
+                m.guest,
+                m.engine,
+                m.result.name,
+                m.profile_engine
             );
             let validating = verb == "validate";
             if validating && preds.iter().all(|p| p.measured.is_none()) {
@@ -837,11 +880,11 @@ fn model_main(argv: Vec<String>) -> ExitCode {
                         .unwrap_or_else(|| "-".to_string()),
                 ]);
             }
-            print!("{}", table.render());
+            out!("{}", table.render());
             if validating {
                 let geo = simbench_campaign::geomean(&errors);
                 let max = errors.iter().cloned().fold(f64::MIN, f64::max);
-                println!(
+                outln!(
                     "prediction error over {} app(s): geomean {geo:.2}×, worst {max:.2}×",
                     errors.len()
                 );
@@ -883,8 +926,8 @@ fn report_main(argv: Vec<String>) -> ExitCode {
     }
     let path = campaign_path.unwrap_or_else(|| fail("report needs a stored campaign JSON file"));
     let result = CampaignResult::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
-    print!("{}", render_summary(&result));
-    print!("{}", simbench_harness::report::render_telemetry(&result));
+    out!("{}", render_summary(&result));
+    out!("{}", simbench_harness::report::render_telemetry(&result));
     ExitCode::SUCCESS
 }
 
@@ -925,7 +968,7 @@ fn selfbench_main(argv: Vec<String>) -> ExitCode {
     if report.cells.is_empty() {
         fail(&format!("campaign {:?} has no clean cells", result.name));
     }
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(path) = out_path {
         write_file(&path, report.to_json().as_bytes());
     }
@@ -935,7 +978,7 @@ fn selfbench_main(argv: Vec<String>) -> ExitCode {
         let baseline = simbench_harness::selfbench::Report::from_json(&text)
             .unwrap_or_else(|e| fail(&format!("{gate_path}: {e}")));
         let outcome = simbench_harness::selfbench::gate(&report, &baseline);
-        print!("{}", outcome.render());
+        out!("{}", outcome.render());
         if !outcome.clean() {
             simbench_obs::warn!(
                 "[selfbench gate: {} cell(s) slower beyond both 95% CIs]",
@@ -1022,20 +1065,20 @@ fn differ_main(argv: Vec<String>) -> ExitCode {
 
     let mut disagreements = 0usize;
     for report in &reports {
-        print!("{}", report.render());
+        out!("{}", report.render());
         if !report.agree() {
             disagreements += 1;
         }
     }
     if simbench_obs::shutdown::interrupted() {
-        println!(
+        outln!(
             "differ: interrupted — {} of {planned} comparison(s) completed, {} agree",
             reports.len(),
             reports.len() - disagreements,
         );
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!(
+    outln!(
         "differ: {}/{} comparison(s) agree",
         reports.len() - disagreements,
         reports.len()
@@ -1167,9 +1210,9 @@ fn analyze_main(argv: Vec<String>) -> ExitCode {
 
     let mut problems = 0usize;
     for a in &analyses {
-        println!("{}", a.render_line());
+        outln!("{}", a.render_line());
         for line in a.render_problems() {
-            println!("{line}");
+            outln!("{line}");
         }
         if !a.ok() {
             problems += 1;
@@ -1179,14 +1222,14 @@ fn analyze_main(argv: Vec<String>) -> ExitCode {
         write_file(&path, simbench_analyzer::to_json(&analyses).as_bytes());
     }
     if interrupted() {
-        println!(
+        outln!(
             "analyze: interrupted — {} subject(s) completed, {} clean",
             analyses.len(),
             analyses.len() - problems,
         );
         return ExitCode::from(simbench_obs::shutdown::EXIT_INTERRUPTED as u8);
     }
-    println!(
+    outln!(
         "analyze: {}/{} subject(s) clean",
         analyses.len() - problems,
         analyses.len()
@@ -1241,9 +1284,9 @@ fn lint_main(argv: Vec<String>) -> ExitCode {
     let root = root.unwrap_or_else(|| ".".to_string());
     let findings = simbench_analyzer::lint_root(std::path::Path::new(&root));
     for f in &findings {
-        println!("{f}");
+        outln!("{f}");
     }
-    println!(
+    outln!(
         "lint: {} finding(s) across {} hot-path file(s)",
         findings.len(),
         simbench_analyzer::HOT_PATH_FILES.len()

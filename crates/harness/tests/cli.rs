@@ -1327,3 +1327,32 @@ fn lint_runs_clean_on_this_repository() {
     let out = run_cli(&["lint", "--root", std::env::temp_dir().to_str().unwrap()]);
     assert_eq!(exit_code(&out), 1, "{}", stdout(&out));
 }
+
+#[test]
+fn closed_stdout_exits_cleanly() {
+    use std::io::BufRead as _;
+    // ~100 KiB of report lines: more than a pipe holds, so the harness
+    // is still writing when the reader goes away (`... | head -1`).
+    let mut child = spawn_cli(
+        &[
+            "differ",
+            "petix",
+            "interp",
+            "dbt",
+            "--fuzz",
+            "1",
+            "--programs",
+            "1000",
+        ],
+        &[],
+    );
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("differ: "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

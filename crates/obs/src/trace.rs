@@ -114,9 +114,10 @@ pub fn chrome_trace_json() -> String {
     out
 }
 
-/// Minimal JSON string escaping (site names are static identifiers,
-/// but the format must stay valid whatever they contain).
-pub(crate) fn escape(s: &str) -> String {
+/// JSON string escaping, without the surrounding quotes: `"`, `\`
+/// and control characters. The one escaper every JSON writer in the
+/// workspace shares.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

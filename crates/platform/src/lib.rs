@@ -35,6 +35,7 @@ pub mod devices;
 use simbench_core::bus::{bus_error, ram_read, ram_write, Bus, BusEvent};
 use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::MemSize;
+use simbench_core::{page_base, page_of, PAGE_SIZE};
 
 use devices::{Ctl, Intc, SafeDev, Timer, Uart};
 
@@ -64,6 +65,10 @@ pub const DEFAULT_RAM: u32 = 96 << 20;
 #[derive(Debug)]
 pub struct Platform {
     ram: Vec<u8>,
+    /// One bit per RAM page, set by every store or load into it (see
+    /// [`Bus::written_pages`]). RAM is private and only [`Bus::write`]
+    /// and [`Bus::load`] mutate it, so an unmarked page is all zero.
+    written: Vec<u64>,
     /// Serial port.
     pub uart: Uart,
     /// Interrupt controller.
@@ -94,11 +99,23 @@ impl Platform {
         );
         Platform {
             ram: vec![0; ram_size],
+            written: vec![0; ram_size.div_ceil(PAGE_SIZE as usize).div_ceil(64)],
             uart: Uart::new(),
             intc: Intc::new(),
             timer: Timer::new(),
             safedev: SafeDev::new(),
             ctl: Ctl::new(),
+        }
+    }
+
+    /// Mark the RAM page holding `pa` as written. Stores mostly hit
+    /// pages already marked, so the bit is tested before it is stored.
+    #[inline]
+    fn mark(&mut self, pa: u32) {
+        let p = page_of(pa) as usize;
+        let (word, bit) = (&mut self.written[p / 64], 1 << (p % 64));
+        if *word & bit == 0 {
+            *word |= bit;
         }
     }
 
@@ -165,8 +182,16 @@ impl Bus for Platform {
         &self.ram
     }
 
-    fn ram_mut(&mut self) -> &mut [u8] {
-        &mut self.ram
+    fn load(&mut self, pa: u32, bytes: &[u8]) {
+        let end = pa as usize + bytes.len();
+        self.ram[pa as usize..end].copy_from_slice(bytes);
+        for page in (page_base(pa)..end as u32).step_by(PAGE_SIZE as usize) {
+            self.mark(page);
+        }
+    }
+
+    fn written_pages(&self) -> Option<&[u64]> {
+        Some(&self.written)
     }
 
     fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, MemFault> {
@@ -182,6 +207,11 @@ impl Bus for Platform {
     fn write(&mut self, pa: u32, val: u32, size: MemSize) -> Result<Option<BusEvent>, MemFault> {
         if (pa as u64) + size.bytes() as u64 <= self.ram.len() as u64 {
             ram_write(&mut self.ram, pa, val, size);
+            self.mark(pa);
+            // A store straddling a page boundary dirties the next page too.
+            if (pa & (PAGE_SIZE - 1)) + size.bytes() > PAGE_SIZE {
+                self.mark(pa + size.bytes() - 1);
+            }
             Ok(None)
         } else if pa >= DEVICE_BASE {
             self.device_write(pa, val, size)
@@ -206,6 +236,29 @@ mod tests {
         p.write(0x100, 0x1234_5678, MemSize::B4).unwrap();
         assert_eq!(p.read(0x100, MemSize::B4).unwrap(), 0x1234_5678);
         assert_eq!(p.read(0x100, MemSize::B1).unwrap(), 0x78);
+    }
+
+    fn marked(p: &Platform) -> Vec<usize> {
+        simbench_core::digest::marked_pages(p.written_pages().unwrap().iter().copied()).collect()
+    }
+
+    #[test]
+    fn stores_and_loads_mark_written_pages() {
+        let mut p = Platform::with_ram(1 << 20);
+        assert!(marked(&p).is_empty());
+        p.write(0x3004, 0, MemSize::B1).unwrap();
+        assert_eq!(marked(&p), [3], "a zero store still marks its page");
+        p.write(0x5ffe, 0x1234_5678, MemSize::B4).unwrap();
+        assert_eq!(marked(&p), [3, 5, 6], "a straddling store marks both pages");
+        p.load(0x8ff0, &[1; 0x1020]);
+        assert_eq!(marked(&p), [3, 5, 6, 8, 9, 10]);
+        p.write(SAFEDEV_BASE + 4, 1, MemSize::B4).unwrap();
+        p.write(0xFFFFC, 1, MemSize::B4).unwrap();
+        assert_eq!(
+            marked(&p),
+            [3, 5, 6, 8, 9, 10, 255],
+            "device stores mark nothing; the last RAM word does"
+        );
     }
 
     #[test]

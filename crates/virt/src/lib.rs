@@ -5,20 +5,22 @@
 //! standing in for the bare-metal hardware rows of Fig 7 (see the
 //! substitution notes in `DESIGN.md`).
 //!
-//! Guest code executes on a *direct* fast path: instructions are decoded
-//! once per physical page and cached (the hardware's decoder), and
-//! address translation uses a large, cheap "hardware TLB". Sensitive
-//! operations — MMIO, coprocessor accesses, undefined instructions,
-//! interrupt injection — trigger simulated **VM exits** with a
-//! configurable latency, reproducing the trap-and-emulate costs the
-//! paper highlights for the External Software Interrupt and Memory
+//! Guest code executes on a *direct* fast path: each instruction is
+//! decoded once and cached by physical address (the hardware's decoder),
+//! and address translation uses a large, cheap "hardware TLB". The
+//! decode cache is a directory indexed by physical page number pointing
+//! at pooled per-page tables, so a fetch costs three array reads and a
+//! copy, and a warm engine never allocates.
+//!
+//! Sensitive operations — MMIO, coprocessor accesses, undefined
+//! instructions, interrupt injection — trigger simulated **VM exits**
+//! with a configurable latency, reproducing the trap-and-emulate costs
+//! the paper highlights for the External Software Interrupt and Memory
 //! Mapped Device benchmarks. The `native` configuration runs the same
 //! engine with zero exit cost.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use simbench_core::bus::{Bus, BusEvent};
 use simbench_core::cpu::{CpuState, Flags};
@@ -29,8 +31,8 @@ use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKi
 use simbench_core::ir::{Decoded, MemSize, Op, MAX_OPS_PER_INSN};
 use simbench_core::isa::{CopEffect, Isa};
 use simbench_core::machine::Machine;
-use simbench_core::page_of;
 use simbench_core::tlb::DirectTlb;
+use simbench_core::{page_of, PAGE_SIZE};
 
 /// Main-loop iterations between wall-clock checks. Iterations, not
 /// retired instructions: IRQ-delivery and prefetch-abort iterations
@@ -82,17 +84,116 @@ impl VirtConfig {
     }
 }
 
-/// Pre-decoded instructions for one physical page, indexed by byte
-/// offset (the hardware front-end's decoded-instruction cache).
+/// Decoded instructions of one physical page (the hardware front-end's
+/// decoded-instruction cache for that page).
 #[derive(Debug)]
 struct PageCode {
-    slots: Vec<Option<Rc<Decoded>>>,
+    /// Per byte offset: 0 if empty, `i + 1` if `code[i]` decodes there.
+    slots: Box<[u16; PAGE_SIZE as usize]>,
+    /// The page's decodes with their byte offsets, so a reset clears
+    /// only the slots in use.
+    code: Vec<(u16, Decoded)>,
 }
 
-impl Default for PageCode {
-    fn default() -> Self {
-        PageCode {
-            slots: vec![None; 4096],
+impl PageCode {
+    fn reset(&mut self) {
+        for &(off, _) in &self.code {
+            self.slots[off as usize] = 0;
+        }
+        self.code.clear();
+    }
+}
+
+/// Decode cache by physical address, coherent with stores like an
+/// icache: a store to a page that holds decodes drops them all.
+///
+/// Dropping a page's decodes, and the reset at run start, empty its
+/// table in place and put it on a free list for the next page, so
+/// tables are never freed and a warm engine never allocates.
+#[derive(Debug, Default)]
+struct CodeCache {
+    /// Per physical page number, up to the highest page fetched: 0 if
+    /// the page holds no decodes, else its table id + 1.
+    dir: Vec<u32>,
+    tables: Vec<PageCode>,
+    /// Ids of empty tables.
+    free: Vec<u32>,
+}
+
+impl CodeCache {
+    #[inline]
+    fn table_of(&self, ppage: u32) -> Option<usize> {
+        match self.dir.get(ppage as usize) {
+            Some(&t) if t != 0 => Some(t as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// True if the physical page holds decodes.
+    #[inline]
+    fn holds(&self, ppage: u32) -> bool {
+        self.table_of(ppage).is_some()
+    }
+
+    /// The decode cached at physical address `pa`.
+    #[inline]
+    fn get(&self, pa: u32) -> Option<Decoded> {
+        let t = &self.tables[self.table_of(page_of(pa))?];
+        match t.slots[(pa & (PAGE_SIZE - 1)) as usize] {
+            0 => None,
+            i => Some(t.code[i as usize - 1].1),
+        }
+    }
+
+    /// Cache `d` at physical address `pa`, which must hold no decode.
+    fn insert(&mut self, pa: u32, d: Decoded) {
+        let ppage = page_of(pa) as usize;
+        if ppage >= self.dir.len() {
+            self.dir.resize(ppage + 1, 0); // lint:allow(hot-path): grows once to the highest code page
+        }
+        let id = match self.dir[ppage] {
+            0 => {
+                let id = self.take_table();
+                self.dir[ppage] = id as u32 + 1;
+                id
+            }
+            t => t as usize - 1,
+        };
+        let off = (pa & (PAGE_SIZE - 1)) as u16;
+        let t = &mut self.tables[id];
+        t.code.push((off, d)); // lint:allow(hot-path): grows only until the table is warm
+        t.slots[off as usize] = t.code.len() as u16;
+    }
+
+    /// An empty table: a free one, or a new one while the pool grows.
+    fn take_table(&mut self) -> usize {
+        if let Some(id) = self.free.pop() {
+            return id as usize;
+        }
+        // lint:allow(hot-path): the pool grows to the most code pages live at once
+        let slots = Box::new([0; PAGE_SIZE as usize]);
+        self.tables.push(PageCode {
+            slots,
+            code: Vec::new(),
+        });
+        // Room for every table on the free list, so freeing never allocates.
+        self.free.reserve(self.tables.len());
+        self.tables.len() - 1
+    }
+
+    /// Drop the physical page's decodes.
+    fn invalidate(&mut self, ppage: u32) {
+        if let Some(id) = self.table_of(ppage) {
+            self.dir[ppage as usize] = 0;
+            self.tables[id].reset();
+            self.free.push(id as u32);
+        }
+    }
+
+    /// Drop every decode.
+    fn clear(&mut self) {
+        for ppage in 0..self.dir.len() as u32 {
+            self.invalidate(ppage);
         }
     }
 }
@@ -103,9 +204,8 @@ pub struct Virt<I: Isa> {
     cfg: VirtConfig,
     /// "Hardware" TLB: large and cheap.
     tlb: DirectTlb,
-    /// Per-physical-page decoded-instruction cache (the hardware
-    /// front-end; invalidated on writes like a coherent icache).
-    pages: HashMap<u32, PageCode>,
+    /// Decoded-instruction cache (the hardware front-end).
+    code: CodeCache,
     _isa: PhantomData<I>,
 }
 
@@ -125,7 +225,7 @@ impl<I: Isa> Virt<I> {
         Virt {
             cfg,
             tlb: DirectTlb::new(4096),
-            pages: HashMap::new(),
+            code: CodeCache::default(),
             _isa: PhantomData,
         }
     }
@@ -142,8 +242,9 @@ fn spin_exit(cost_ns: u32) {
     if cost_ns == 0 {
         return;
     }
+    let cost = Duration::from_nanos(cost_ns.into());
     let t0 = Instant::now();
-    while (t0.elapsed().as_nanos() as u32) < cost_ns {
+    while t0.elapsed() < cost {
         std::hint::spin_loop();
     }
 }
@@ -181,8 +282,8 @@ struct Ctx<'a, I: Isa, B: Bus> {
     phase_mark: Option<u8>,
     /// Physical pages whose decoded instructions a store dirtied.
     code_write: DirtyCodePages,
-    /// Pages with cached decodes (read-only coherency check).
-    code_pages: &'a HashMap<u32, PageCode>,
+    /// The decode cache (read-only coherency check).
+    code: &'a CodeCache,
 }
 
 impl<I: Isa, B: Bus> Ctx<'_, I, B> {
@@ -285,7 +386,7 @@ impl<I: Isa, B: Bus> ExecCtx for Ctx<'_, I, B> {
         }
         // Instruction-cache coherency: dirty pages with cached decodes.
         let ppage = page_of(pa);
-        if self.code_pages.contains_key(&ppage) {
+        if self.code.holds(ppage) {
             self.code_write.push(ppage);
         }
         Ok(())
@@ -320,9 +421,49 @@ impl<I: Isa, B: Bus> ExecCtx for Ctx<'_, I, B> {
     }
 }
 
+/// The explicit `Udf` of nominal length that stands for an undecodable
+/// instruction, so the main loop raises Undef uniformly.
+fn undecodable<I: Isa>() -> Decoded {
+    Decoded::new(
+        I::MAX_INSN_BYTES as u8,
+        [Op::Udf],
+        simbench_core::ir::InsnClass::System,
+    )
+}
+
 impl<I: Isa> Virt<I> {
+    /// Translate `va` for execute through the hardware TLB.
+    fn translate_exec<B: Bus>(
+        &mut self,
+        cpu: &CpuState,
+        sys: &mut I::Sys,
+        bus: &mut B,
+        counters: &mut Counters,
+        va: u32,
+    ) -> Result<u32, MemFault> {
+        if !I::mmu_enabled(sys) {
+            return Ok(va);
+        }
+        let entry = match self.tlb.lookup(page_of(va)) {
+            Some(e) => {
+                counters.tlb_hits += 1;
+                e
+            }
+            None => {
+                counters.tlb_misses += 1;
+                let e = I::walk(sys, bus, va).map_err(|mut f| {
+                    f.access = AccessKind::Execute;
+                    f
+                })?;
+                self.tlb.insert(e);
+                e
+            }
+        };
+        entry.check(va, AccessKind::Execute, cpu.level.is_kernel(), false)
+    }
+
     /// Translate a fetch and return the decoded instruction at `pc`,
-    /// decoding and caching the page slot on first touch.
+    /// decoding and caching it on first touch.
     fn fetch<B: Bus>(
         &mut self,
         cpu: &CpuState,
@@ -330,34 +471,13 @@ impl<I: Isa> Virt<I> {
         bus: &mut B,
         counters: &mut Counters,
         pc: u32,
-    ) -> Result<Rc<Decoded>, MemFault> {
-        let pa = if !I::mmu_enabled(sys) {
-            pc
-        } else {
-            let vpage = page_of(pc);
-            let entry = match self.tlb.lookup(vpage) {
-                Some(e) => {
-                    counters.tlb_hits += 1;
-                    e
-                }
-                None => {
-                    counters.tlb_misses += 1;
-                    let e = I::walk(sys, bus, pc).map_err(|mut f| {
-                        f.access = AccessKind::Execute;
-                        f
-                    })?;
-                    self.tlb.insert(e);
-                    e
-                }
-            };
-            entry.check(pc, AccessKind::Execute, cpu.level.is_kernel(), false)?
-        };
-        let ppage = page_of(pa);
-        let off = (pa & 0xFFF) as usize;
-        if let Some(Some(d)) = self.pages.get(&ppage).map(|p| &p.slots[off]) {
-            return Ok(Rc::clone(d));
+    ) -> Result<Decoded, MemFault> {
+        let pa = self.translate_exec(cpu, sys, bus, counters, pc)?;
+        if let Some(d) = self.code.get(pa) {
+            return Ok(d);
         }
-        // Decode from RAM (instruction fetch from MMIO is a bus error).
+        // Decode from RAM (instruction fetch from MMIO is a bus error),
+        // reading no further than the end of the page.
         let ram = bus.ram();
         if pa as usize >= ram.len() {
             return Err(MemFault {
@@ -366,19 +486,49 @@ impl<I: Isa> Virt<I> {
                 kind: FaultKind::BusError,
             });
         }
-        let end = ((pa as usize) + I::MAX_INSN_BYTES).min(ram.len());
-        let bytes = &ram[pa as usize..end];
-        let decoded = match I::decode(bytes, pc) {
+        let page_left = (PAGE_SIZE - (pa & (PAGE_SIZE - 1))) as usize;
+        let end = (pa as usize + I::MAX_INSN_BYTES.min(page_left)).min(ram.len());
+        let decoded = match I::decode(&ram[pa as usize..end], pc) {
             Ok(d) => d,
-            Err(_) => Decoded::new(
-                I::MAX_INSN_BYTES as u8,
-                [Op::Udf],
-                simbench_core::ir::InsnClass::System,
-            ),
+            // Cut short by the page end, not by the end of RAM: the
+            // instruction may continue on the next page.
+            Err(_) if page_left < I::MAX_INSN_BYTES && end - pa as usize == page_left => {
+                return Ok(self.fetch_straddling(cpu, sys, bus, counters, pc, pa));
+            }
+            Err(_) => undecodable::<I>(),
         };
-        let rc = Rc::new(decoded);
-        self.pages.entry(ppage).or_default().slots[off] = Some(Rc::clone(&rc));
-        Ok(rc)
+        self.code.insert(pa, decoded);
+        Ok(decoded)
+    }
+
+    /// Decode an instruction that may run past the end of its page. The
+    /// tail bytes come through their own translation, as in the
+    /// interpreter, and the decode is not cached: a store to the tail
+    /// page would not invalidate it.
+    #[cold]
+    fn fetch_straddling<B: Bus>(
+        &mut self,
+        cpu: &CpuState,
+        sys: &mut I::Sys,
+        bus: &mut B,
+        counters: &mut Counters,
+        pc: u32,
+        pa: u32,
+    ) -> Decoded {
+        let mut bytes = [0u8; 8];
+        let head = (PAGE_SIZE - (pa & (PAGE_SIZE - 1))) as usize;
+        bytes[..head].copy_from_slice(&bus.ram()[pa as usize..pa as usize + head]);
+        let mut have = head;
+        // A tail that cannot be fetched leaves the decoder short of bytes.
+        let tail_va = pc.wrapping_add(head as u32);
+        if let Ok(tail_pa) = self.translate_exec(cpu, sys, bus, counters, tail_va) {
+            let n = I::MAX_INSN_BYTES - head;
+            if let Some(tail) = bus.ram().get(tail_pa as usize..tail_pa as usize + n) {
+                bytes[head..head + n].copy_from_slice(tail);
+                have += n;
+            }
+        }
+        I::decode(&bytes[..have], pc).unwrap_or_else(|_| undecodable::<I>())
     }
 }
 
@@ -416,7 +566,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
         let mut counters = Counters::default();
         let mut phase = PhaseTracker::new();
         self.tlb.flush();
-        self.pages.clear();
+        self.code.clear();
 
         let mut iters: u64 = 0;
         let exit = 'outer: loop {
@@ -476,7 +626,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
                 cfg: self.cfg,
                 phase_mark: None,
                 code_write: DirtyCodePages::default(),
-                code_pages: &self.pages,
+                code: &self.code,
             };
 
             let mut new_pc = next_pc;
@@ -502,7 +652,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
 
             for &ppage in dirty.as_slice() {
                 counters.code_invalidations += 1;
-                self.pages.remove(&ppage);
+                self.code.invalidate(ppage);
             }
 
             match trap {
@@ -564,10 +714,12 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simbench_core::asm::{PReg, PortableAsm};
     use simbench_core::bus::FlatRam;
-    use simbench_core::ir::AluOp;
+    use simbench_core::ir::{AluOp, InsnClass};
     use simbench_isa_armlet::{Armlet, ArmletAsm};
+    use std::collections::HashMap;
 
     fn run_native(asm: ArmletAsm, entry: u32) -> (Machine<Armlet, FlatRam>, RunOutcome) {
         let img = asm.finish(entry);
@@ -706,9 +858,9 @@ mod tests {
         // Two physical pages hold cached decodes; one instruction's op
         // list stores into both. Both must be queued for invalidation —
         // the old single-slot tracker kept only the last.
-        let mut pages: HashMap<u32, PageCode> = HashMap::new();
-        pages.insert(0x10, PageCode::default());
-        pages.insert(0x11, PageCode::default());
+        let mut code = CodeCache::default();
+        code.insert(0x10_000, nop());
+        code.insert(0x11_000, nop());
         let mut cpu = CpuState::at_reset(0);
         let mut sys = simbench_isa_armlet::ArmletSys::default();
         let mut bus = FlatRam::new(1 << 20);
@@ -723,7 +875,7 @@ mod tests {
             cfg: VirtConfig::native(),
             phase_mark: None,
             code_write: DirtyCodePages::default(),
-            code_pages: &pages,
+            code: &code,
         };
         ctx.write(0x10_004, 0xAA, MemSize::B4, false).unwrap();
         ctx.write(0x11_008, 0xBB, MemSize::B4, false).unwrap();
@@ -733,6 +885,100 @@ mod tests {
         assert!(dirty.as_slice().contains(&0x10), "first page kept");
         assert!(dirty.as_slice().contains(&0x11), "second page kept");
         assert_eq!(dirty.as_slice().len(), 2, "set deduplicates");
+    }
+
+    fn nop() -> Decoded {
+        Decoded::new(1, [Op::Nop], InsnClass::Nop)
+    }
+
+    /// A decode told apart from others by its trap number.
+    fn tagged(tag: u16) -> Decoded {
+        Decoded::new(4, [Op::Svc(tag)], InsnClass::System)
+    }
+
+    #[test]
+    fn reused_table_serves_no_stale_slot() {
+        let mut code = CodeCache::default();
+        code.insert(0x3_004, tagged(1));
+        code.invalidate(0x3);
+        assert!(!code.holds(0x3));
+        assert_eq!(code.get(0x3_004), None);
+        // Page 7 takes the table page 3 left on the free list.
+        code.insert(0x7_008, tagged(2));
+        assert_eq!(code.tables.len(), 1, "the freed table was reused");
+        assert_eq!(code.get(0x7_004), None, "page 3's slot was cleared");
+        assert_eq!(code.get(0x7_008), Some(tagged(2)));
+        code.clear();
+        assert!(!code.holds(0x7));
+        code.insert(0x3_004, tagged(3));
+        assert_eq!(code.get(0x3_008), None, "page 7's slot was cleared");
+        assert_eq!(code.get(0x3_004), Some(tagged(3)));
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum CacheOp {
+        /// Insert on a miss, as the fetch path does.
+        Insert(u32, u16),
+        Get(u32, u16),
+        Invalidate(u32),
+        Clear,
+    }
+
+    fn cache_op() -> impl Strategy<Value = CacheOp> {
+        // Few pages, so tables move between pages; offsets include both
+        // ends of a page.
+        let off = prop::sample::select(&[0u16, 1, 2, 4, 0x7FE, 0xFFC, 0xFFF]);
+        (0u8..10, 0u32..6, off).prop_map(|(kind, page, off)| match kind {
+            0..=4 => CacheOp::Insert(page, off),
+            5..=7 => CacheOp::Get(page, off),
+            8 => CacheOp::Invalidate(page),
+            _ => CacheOp::Clear,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn code_cache_matches_map_model(ops in prop::collection::vec(cache_op(), 0..300)) {
+            let mut code = CodeCache::default();
+            let mut model: HashMap<(u32, u16), Decoded> = HashMap::new();
+            // The first page inserted takes over a table page 4 filled
+            // at every offset, so a slot the reset missed would show.
+            for off in [0u16, 1, 2, 4, 0x7FE, 0xFFC, 0xFFF] {
+                code.insert((4 << 12) | off as u32, tagged(off));
+            }
+            code.invalidate(4);
+            for (i, op) in ops.into_iter().enumerate() {
+                let d = tagged(i as u16);
+                match op {
+                    CacheOp::Insert(page, off) => {
+                        let pa = (page << 12) | off as u32;
+                        if code.get(pa).is_none() {
+                            code.insert(pa, d);
+                            model.insert((page, off), d);
+                        }
+                    }
+                    CacheOp::Get(page, off) => {
+                        let got = code.get((page << 12) | off as u32);
+                        prop_assert_eq!(got, model.get(&(page, off)).copied());
+                    }
+                    CacheOp::Invalidate(page) => {
+                        code.invalidate(page);
+                        model.retain(|&(p, _), _| p != page);
+                    }
+                    CacheOp::Clear => {
+                        code.clear();
+                        model.clear();
+                    }
+                }
+                for page in 0..6 {
+                    let held = model.keys().any(|&(p, _)| p == page);
+                    prop_assert_eq!(code.holds(page), held);
+                }
+            }
+            for (&(page, off), &d) in &model {
+                prop_assert_eq!(code.get((page << 12) | off as u32), Some(d));
+            }
+        }
     }
 
     #[test]

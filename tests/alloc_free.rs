@@ -1,10 +1,11 @@
 //! Allocation audit of the engine hot loops.
 //!
 //! A test-only counting `#[global_allocator]` wrapper proves the
-//! PR-level claim behind `OpList`, the DBT step arena and the reusable
-//! translation scratch buffer: once an engine is warm, executing guest
-//! code touches the allocator **zero** times — decode, dispatch and
-//! execute run entirely on inline storage and pre-grown capacity.
+//! claim behind `OpList`, the DBT step arena, the reusable translation
+//! scratch buffer and virt's pooled decode tables: once an engine is
+//! warm, executing guest code touches the allocator **zero** times —
+//! decode, dispatch and execute run entirely on inline storage and
+//! pre-grown capacity.
 //!
 //! The counter is thread-local: libtest's own harness threads (and any
 //! concurrently running test) allocate at unpredictable times, and only
@@ -35,6 +36,7 @@ use simbench_core::machine::Machine;
 use simbench_dbt::Dbt;
 use simbench_interp::Interp;
 use simbench_isa_armlet::{Armlet, ArmletAsm};
+use simbench_virt::{Virt, VirtConfig};
 
 /// Counts every allocation and reallocation made by the current
 /// thread; frees are not interesting (a hot loop that frees must have
@@ -150,6 +152,26 @@ fn warm_hot_loops_allocate_nothing() {
         "the loop must actually run via chained blocks: {}",
         out.counters.block_chain_follows
     );
+
+    // virt and native: the first run grows the decode cache's page
+    // directory and table pool. The run-start reset empties the tables
+    // in place, so the second run decodes into them again without
+    // allocating.
+    let kvm = VirtConfig {
+        exit_cost_ns: 0,
+        ..VirtConfig::kvm()
+    };
+    for mut virt in [Virt::<Armlet>::native(), Virt::with_config(kvm)] {
+        let (_warmup, out) = measured_run(&mut virt, &img);
+        assert_eq!(out.exit, ExitReason::Halted);
+        let (steady, out) = measured_run(&mut virt, &img);
+        assert_eq!(out.exit, ExitReason::Halted);
+        let name = virt.config().name;
+        assert_eq!(
+            steady, 0,
+            "{name} steady state allocated {steady} times after warm-up"
+        );
+    }
 
     // Enabled telemetry: the first instrumented run pays one-time costs
     // (per-thread ring creation, metric registration in the process

@@ -46,6 +46,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/isa-riscle/src/decode_gen.rs",
     "crates/obs/src/metrics.rs",
     "crates/obs/src/ring.rs",
+    "crates/platform/src/lib.rs",
     "crates/virt/src/lib.rs",
 ];
 

@@ -436,7 +436,7 @@ pub fn predict<I: Isa>(image: &GuestImage, fuel: u64) -> Prediction {
             match step_op(&mut ctx, op) {
                 OpOutcome::Next => {}
                 OpOutcome::Jump { target, flavor } => {
-                    simbench_interp::count_branch(ctx.counters, pc, target, flavor);
+                    ctx.counters.count_branch(pc, target, flavor);
                     new_pc = target;
                     break;
                 }

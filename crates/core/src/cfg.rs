@@ -286,7 +286,7 @@ impl<'a, I: Isa> Recovery<'a, I> {
         let mut sections: Vec<(u32, &[u8])> = image
             .sections
             .iter()
-            .map(|s| (s.addr, s.bytes.as_slice()))
+            .map(|s| (s.addr, &s.bytes[..]))
             .collect();
         sections.sort_by_key(|(a, _)| *a);
         Recovery {

@@ -6,6 +6,9 @@
 //! tested operation is benchmark-specific (e.g. TLB misses for Cold
 //! Memory Access, syscalls for System Call).
 
+use crate::exec::BranchFlavor;
+use crate::page_of;
+
 /// Monotonic event counters accumulated during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -114,6 +117,19 @@ impl Counters {
         block_chain_follows,
         vm_exits,
     );
+
+    /// Classify and count a taken branch: by flavor, and by whether
+    /// `target` lies in the page of `from_pc`.
+    #[inline]
+    pub fn count_branch(&mut self, from_pc: u32, target: u32, flavor: BranchFlavor) {
+        let same_page = page_of(from_pc) == page_of(target);
+        match (flavor, same_page) {
+            (BranchFlavor::Direct, true) => self.branch_intra_direct += 1,
+            (BranchFlavor::Direct, false) => self.branch_inter_direct += 1,
+            (BranchFlavor::Indirect, true) => self.branch_intra_indirect += 1,
+            (BranchFlavor::Indirect, false) => self.branch_inter_indirect += 1,
+        }
+    }
 
     /// Total taken branches of all four classes.
     pub fn branches(&self) -> u64 {

@@ -1,6 +1,7 @@
 //! Bootable guest images.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bus::Bus;
 
@@ -10,8 +11,9 @@ pub struct Section {
     /// Load address (physical; boot code runs MMU-off with an identity
     /// view, so link addresses equal load addresses).
     pub addr: u32,
-    /// Raw contents.
-    pub bytes: Vec<u8>,
+    /// Raw contents. Shared: images built from one support package hold
+    /// one copy of their common page tables.
+    pub bytes: Arc<[u8]>,
 }
 
 impl Section {
@@ -46,7 +48,8 @@ impl GuestImage {
     ///
     /// Panics if the new section overlaps an existing one — overlapping
     /// sections are always an assembler bug.
-    pub fn push_section(&mut self, addr: u32, bytes: Vec<u8>) {
+    pub fn push_section(&mut self, addr: u32, bytes: impl Into<Arc<[u8]>>) {
+        let bytes = bytes.into();
         let end = addr + bytes.len() as u32;
         for s in &self.sections {
             assert!(

@@ -40,6 +40,10 @@ pub struct Tb {
     pub pc: u32,
     /// Physical page the code was read from (part of the lookup key).
     pub ppage: u32,
+    /// Physical page holding the tail of a last instruction that
+    /// straddles into the next page, when that is another page. The
+    /// block is registered under it too, so a store there kills it.
+    pub tail_ppage: Option<u32>,
     /// Offset of the block's first step in the step arena.
     pub steps_start: u32,
     /// Number of steps.
@@ -165,19 +169,22 @@ impl CodeCache {
     }
 
     /// Insert a freshly translated block, copying its steps into the
-    /// arena. Returns its id and whether the page *gained* its first
-    /// translation (the caller must then flush data TLBs so stale
-    /// unprotected entries disappear).
+    /// arena, and register it under `ppage` and `tail_ppage`. Returns
+    /// its id and whether either page *gained* its first translation
+    /// (the caller must then flush data TLBs so stale unprotected
+    /// entries disappear).
     pub fn insert(
         &mut self,
         pc: u32,
-        ppage: u32,
+        (ppage, tail_ppage): (u32, Option<u32>),
         end_pc: u32,
         taken_target: Option<u32>,
         steps: &[TbStep],
     ) -> (TbId, bool) {
         let id = self.blocks.len() as TbId;
-        let first_in_page = !self.page_has_code(ppage);
+        let tail_ppage = tail_ppage.filter(|&t| t != ppage);
+        let first_in_page =
+            !self.page_has_code(ppage) || tail_ppage.is_some_and(|t| !self.page_has_code(t));
         let steps_start = self.steps.len() as u32;
         let cap_before = self.steps.capacity();
         self.steps.extend_from_slice(steps);
@@ -188,10 +195,13 @@ impl CodeCache {
             simbench_obs::event!("dbt.arena_growth");
         }
         self.map.insert((pc, ppage), id);
-        self.page_blocks.entry(ppage).or_default().push(id);
+        for page in std::iter::once(ppage).chain(tail_ppage) {
+            self.page_blocks.entry(page).or_default().push(id);
+        }
         self.blocks.push(Tb {
             pc,
             ppage,
+            tail_ppage,
             steps_start,
             steps_len: steps.len() as u32,
             end_pc,
@@ -216,13 +226,25 @@ impl CodeCache {
         let Some(ids) = self.page_blocks.get_mut(&ppage) else {
             return 0;
         };
+        let mut ids = std::mem::take(ids);
         let n = ids.len();
-        for &id in ids.iter() {
+        for &id in &ids {
             let tb = &mut self.blocks[id as usize];
             tb.dead = true;
             self.map.remove(&(tb.pc, tb.ppage));
+            // A block registered under two pages leaves the other one's
+            // list too, so that page holds code only while live blocks do.
+            let other = if tb.ppage == ppage {
+                tb.tail_ppage
+            } else {
+                Some(tb.ppage)
+            };
+            if let Some(list) = other.and_then(|o| self.page_blocks.get_mut(&o)) {
+                list.retain(|&b| b != id);
+            }
         }
         ids.clear();
+        self.page_blocks.insert(ppage, ids);
         self.unchain_all();
         static OBS_TOMBSTONES: simbench_obs::Counter =
             simbench_obs::Counter::new("dbt.tombstoned_blocks");
@@ -281,7 +303,7 @@ mod tests {
             next_pc: pc + 4,
             insn_start: true,
         }];
-        c.insert(pc, ppage, pc + 4, None, &steps)
+        c.insert(pc, (ppage, None), pc + 4, None, &steps)
     }
 
     #[test]
@@ -324,6 +346,36 @@ mod tests {
         assert_eq!(c.arena_steps(), 2);
         c.flush_all();
         assert_eq!(c.arena_steps(), 0, "flush compacts the arena");
+    }
+
+    #[test]
+    fn straddling_block_dies_with_either_page() {
+        let steps = [TbStep {
+            op: Op::Nop,
+            next_pc: 0x9002,
+            insn_start: true,
+        }];
+        for (dirty, other) in [(8, 9), (9, 8)] {
+            let mut c = CodeCache::new(4);
+            let (id, first) = c.insert(0x8ffe, (8, Some(9)), 0x9002, None, &steps);
+            assert!(first);
+            assert!(c.page_has_code(8) && c.page_has_code(9));
+            assert_eq!(c.invalidate_page(dirty), 1);
+            assert_eq!(c.lookup(0x8ffe, 8), None);
+            assert!(c.blocks[id as usize].dead);
+            assert!(!c.page_has_code(other), "the dead block left both lists");
+        }
+        let mut c = CodeCache::new(4);
+        insert(&mut c, 0x8000, 8);
+        let (_, first) = c.insert(0x8ffe, (8, Some(9)), 0x9002, None, &steps);
+        assert!(first, "the tail page gained code");
+        let (_, first) = c.insert(0x7ffe, (7, Some(7)), 0x8002, None, &steps);
+        assert!(first);
+        assert_eq!(
+            c.invalidate_page(7),
+            1,
+            "a tail in the head's page counts once"
+        );
     }
 
     #[test]

@@ -195,6 +195,7 @@ impl<I: Isa> Dbt<I> {
         self.scratch.clear();
         let mut cur = pc;
         let mut taken_target = None;
+        let mut tail_ppage = None;
         let mut buf = [0u8; 8];
 
         for _ in 0..MAX_BLOCK_INSNS {
@@ -221,6 +222,15 @@ impl<I: Isa> Dbt<I> {
                 }
             };
             let next = cur.wrapping_add(decoded.len as u32);
+            let last_byte = next.wrapping_sub(1);
+            if page_of(last_byte) != page_of(cur) {
+                // The instruction straddles into the next page, whose
+                // translation `fetch_bytes` just used for its tail.
+                tail_ppage = self
+                    .translate_exec(&m.cpu, &m.sys, &mut m.bus, last_byte)
+                    .ok()
+                    .map(page_of);
+            }
             let ends = decoded.ends_block();
             for (i, op) in decoded.ops.iter().enumerate() {
                 self.scratch.push(TbStep {
@@ -255,9 +265,9 @@ impl<I: Isa> Dbt<I> {
         OBS_TRANSLATIONS.add(1);
         OBS_BLOCK_STEPS.observe(self.scratch.len() as u64);
 
-        let (id, first_in_page) = self
-            .code
-            .insert(pc, ppage, cur, taken_target, &self.scratch);
+        let (id, first_in_page) =
+            self.code
+                .insert(pc, (ppage, tail_ppage), cur, taken_target, &self.scratch);
         if first_in_page {
             // Stale TLB entries for this page lack the write-protect
             // flag; drop them all so future fills pick it up.
@@ -694,7 +704,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Dbt<I> {
                         }
                     }
                     OpOutcome::Jump { target, flavor } => {
-                        count_branch(ctx.counters, tb_pc, target, flavor);
+                        ctx.counters.count_branch(tb_pc, target, flavor);
                         exit = BlockExit::Jump { target, flavor };
                         break;
                     }
@@ -829,17 +839,6 @@ fn take_prefetch_abort<I: Isa, B: Bus>(
         pc,
     );
     m.cpu.pc = vec;
-}
-
-/// Classify and count a taken branch.
-fn count_branch(counters: &mut Counters, from_pc: u32, target: u32, flavor: BranchFlavor) {
-    let same_page = page_of(from_pc) == page_of(target);
-    match (flavor, same_page) {
-        (BranchFlavor::Direct, true) => counters.branch_intra_direct += 1,
-        (BranchFlavor::Direct, false) => counters.branch_inter_direct += 1,
-        (BranchFlavor::Indirect, true) => counters.branch_intra_indirect += 1,
-        (BranchFlavor::Indirect, false) => counters.branch_inter_indirect += 1,
-    }
 }
 
 #[cfg(test)]

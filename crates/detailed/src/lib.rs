@@ -28,7 +28,7 @@ use simbench_core::bus::{Bus, BusEvent};
 use simbench_core::cpu::{CpuState, Flags};
 use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
-use simbench_core::exec::{step_op, BranchFlavor, ExecCtx, OpOutcome, Trap};
+use simbench_core::exec::{step_op, ExecCtx, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
 use simbench_core::ir::{Decoded, InsnClass, MemSize, Op};
 use simbench_core::isa::{CopEffect, Isa};
@@ -508,17 +508,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Detailed<I> {
                     OpOutcome::Jump { target, flavor } => {
                         ctx.stats.cycles += ctx.timing.branch_cycles;
                         ctx.stats.branch_penalty += ctx.timing.branch_cycles;
-                        let same_page = page_of(pc) == page_of(target);
-                        match (flavor, same_page) {
-                            (BranchFlavor::Direct, true) => ctx.counters.branch_intra_direct += 1,
-                            (BranchFlavor::Direct, false) => ctx.counters.branch_inter_direct += 1,
-                            (BranchFlavor::Indirect, true) => {
-                                ctx.counters.branch_intra_indirect += 1
-                            }
-                            (BranchFlavor::Indirect, false) => {
-                                ctx.counters.branch_inter_indirect += 1
-                            }
-                        }
+                        ctx.counters.count_branch(pc, target, flavor);
                         new_pc = target;
                         break;
                     }

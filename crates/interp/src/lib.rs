@@ -18,7 +18,7 @@ use simbench_core::bus::{Bus, BusEvent};
 use simbench_core::cpu::{CpuState, Flags};
 use simbench_core::engine::{Engine, EngineInfo, ExitReason, PhaseTracker, RunLimits, RunOutcome};
 use simbench_core::events::Counters;
-use simbench_core::exec::{step_op, BranchFlavor, ExecCtx, OpOutcome, Trap};
+use simbench_core::exec::{step_op, ExecCtx, OpOutcome, Trap};
 use simbench_core::fault::{AccessKind, CopFault, ExcInfo, ExceptionKind, FaultKind, MemFault};
 use simbench_core::ir::{Decoded, MemSize, Op};
 use simbench_core::isa::{CopEffect, Isa};
@@ -283,18 +283,6 @@ impl<I: Isa> Interp<I> {
     }
 }
 
-/// Classify and count a taken branch. Shared helper used verbatim by the
-/// other interpreter-structured engines.
-pub fn count_branch(counters: &mut Counters, from_pc: u32, target: u32, flavor: BranchFlavor) {
-    let same_page = page_of(from_pc) == page_of(target);
-    match (flavor, same_page) {
-        (BranchFlavor::Direct, true) => counters.branch_intra_direct += 1,
-        (BranchFlavor::Direct, false) => counters.branch_inter_direct += 1,
-        (BranchFlavor::Indirect, true) => counters.branch_intra_indirect += 1,
-        (BranchFlavor::Indirect, false) => counters.branch_inter_indirect += 1,
-    }
-}
-
 impl<I: Isa, B: Bus> Engine<I, B> for Interp<I> {
     fn info(&self) -> EngineInfo {
         EngineInfo {
@@ -385,7 +373,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Interp<I> {
                 match step_op(&mut ctx, op) {
                     OpOutcome::Next => {}
                     OpOutcome::Jump { target, flavor } => {
-                        count_branch(ctx.counters, pc, target, flavor);
+                        ctx.counters.count_branch(pc, target, flavor);
                         new_pc = target;
                         break;
                     }

@@ -18,6 +18,27 @@
 //! | `0xF000_3000` (1 page)    | Safe device (ID/scratch registers) |
 //! | `0xF000_4000` (1 page)    | Control (benchmark phase marks)    |
 //!
+//! ## Recycled RAM
+//!
+//! RAM is private and only [`Bus::write`] and [`Bus::load`] mutate it,
+//! each marking the page it touches, so a page the written-page map does
+//! not mark is all zero. Dropping a `Platform` uses that: it zeroes only
+//! the marked pages, clears the map and returns both buffers to a
+//! process-wide free list. [`Platform::with_ram`] takes the most recently
+//! returned buffer of the requested length and allocates only when there
+//! is none, so a campaign that boots a machine per repetition pays the
+//! host page faults of guest RAM once, not on every boot. A miss frees
+//! one buffer of another length, so the list never holds more buffers
+//! than the most platforms ever alive at once. Pages a guest only read
+//! stay mapped to the host's shared zero page and cost no memory.
+//!
+//! The contract: a platform from `with_ram` is indistinguishable from a
+//! freshly zeroed one (all RAM zero, no page marked, devices reset).
+//! `Drop` also runs while a panicking repetition unwinds (a quarantined
+//! campaign cell); it cannot panic, and it recovers the free list from a
+//! poisoned lock, so the buffers of a failed run are recycled like any
+//! other.
+//!
 //! ## Example
 //!
 //! ```
@@ -32,7 +53,10 @@
 
 pub mod devices;
 
+use std::sync::{Mutex, PoisonError};
+
 use simbench_core::bus::{bus_error, ram_read, ram_write, Bus, BusEvent};
+use simbench_core::digest::marked_pages;
 use simbench_core::fault::{AccessKind, MemFault};
 use simbench_core::ir::MemSize;
 use simbench_core::{page_base, page_of, PAGE_SIZE};
@@ -87,7 +111,9 @@ impl Platform {
         Self::with_ram(DEFAULT_RAM as usize)
     }
 
-    /// A platform with `ram_size` bytes of RAM.
+    /// A platform with `ram_size` bytes of zeroed RAM, recycled from a
+    /// dropped platform of the same RAM size when there is one (see the
+    /// crate docs).
     ///
     /// # Panics
     ///
@@ -97,9 +123,10 @@ impl Platform {
             (ram_size as u64) <= DEVICE_BASE as u64,
             "RAM overlaps device region"
         );
+        let (ram, written) = recycled_buffers(ram_size);
         Platform {
-            ram: vec![0; ram_size],
-            written: vec![0; ram_size.div_ceil(PAGE_SIZE as usize).div_ceil(64)],
+            ram,
+            written,
             uart: Uart::new(),
             intc: Intc::new(),
             timer: Timer::new(),
@@ -168,6 +195,49 @@ impl Platform {
             CTL_BASE => Ok(self.ctl.write(off, val).map(BusEvent::PhaseMark)),
             _ => Err(bus_error(pa, AccessKind::Write)),
         }
+    }
+}
+
+/// RAM and written-page map buffers of dropped platforms, all zero, most
+/// recently returned last.
+static FREE_LIST: Mutex<Vec<(Vec<u8>, Vec<u64>)>> = Mutex::new(Vec::new());
+
+/// Zeroed RAM and written-page map buffers for `ram_size` bytes: the
+/// most recently freed pair of that size, else a fresh allocation after
+/// freeing the most recent pair of another size.
+fn recycled_buffers(ram_size: usize) -> (Vec<u8>, Vec<u64>) {
+    let mut free = FREE_LIST.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(i) = free.iter().rposition(|(ram, _)| ram.len() == ram_size) {
+        return free.remove(i);
+    }
+    let evicted = free.pop();
+    drop(free);
+    drop(evicted);
+    let pages = ram_size.div_ceil(PAGE_SIZE as usize);
+    // lint:allow(hot-path): a miss of the free list allocates once
+    (vec![0; ram_size], vec![0; pages.div_ceil(64)])
+}
+
+impl Drop for Platform {
+    /// Zero the written pages and recycle the buffers. The list holds
+    /// only zeroed buffers, so a poisoned lock guards nothing
+    /// half-done and is recovered.
+    fn drop(&mut self) {
+        let page = PAGE_SIZE as usize;
+        for p in marked_pages(self.written.iter().copied()) {
+            let start = p * page;
+            let end = self.ram.len().min(start + page);
+            self.ram[start..end].fill(0);
+        }
+        self.written.fill(0);
+        let buffers = (
+            std::mem::take(&mut self.ram),
+            std::mem::take(&mut self.written),
+        );
+        FREE_LIST
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(buffers);
     }
 }
 

@@ -1,5 +1,7 @@
 //! The armlet architecture + platform support package.
 
+use std::sync::{Arc, OnceLock};
+
 use simbench_core::asm::{PReg, PortableAsm};
 use simbench_core::fault::ExceptionKind;
 use simbench_core::image::GuestImage;
@@ -55,24 +57,7 @@ impl Support for ArmletSupport {
         let layout = self.layout();
         let mut a = ArmletAsm::new();
 
-        // Static page tables: identity maps for code, data, cold region,
-        // and the device pages. ARM-style sections where aligned.
-        let mut tb = TableBuilder::new(layout.tables);
-        tb.map_range(0, 0, 0x0060_0000, Access::KernelOnly);
-        tb.map_range(layout.data, layout.data, 0x0020_0000, Access::UserFull);
-        tb.map_range(
-            layout.cold,
-            layout.cold,
-            layout.cold_len,
-            Access::KernelOnly,
-        );
-        tb.map_range(
-            simbench_platform::DEVICE_BASE,
-            simbench_platform::DEVICE_BASE,
-            0x5000,
-            Access::KernelDevice,
-        );
-        let (tbase, blob) = tb.into_blob();
+        let (tbase, tables) = page_tables(&layout);
 
         // Vector table: a branch per exception kind, 0x20 apart.
         a.org(layout.vectors);
@@ -122,11 +107,9 @@ impl Support for ArmletSupport {
         a.bind(code_entry);
         body(&mut a, self, &layout);
 
-        // Page-table blob.
-        a.org(layout.tables);
-        a.bytes(&blob);
-
-        a.finish(layout.boot)
+        let mut img = a.finish(layout.boot);
+        img.push_section(tbase, tables);
+        img
     }
 
     fn emit_safe_coproc_read(&self, a: &mut Self::Asm, rd: PReg) {
@@ -152,4 +135,32 @@ impl Support for ArmletSupport {
     fn emit_tlb_flush(&self, a: &mut Self::Asm, scratch: PReg) {
         a.mcr(CP_SYS, cp15::TLBIALL, scratch);
     }
+}
+
+/// Static page tables: identity maps for code, data, cold region, and
+/// the device pages, ARM-style sections where aligned. Every image maps
+/// the same ranges and the support's layout is fixed, so the blob is
+/// built once and shared by all of them. Returns `(table base, bytes)`.
+fn page_tables(layout: &Layout) -> (u32, Arc<[u8]>) {
+    static TABLES: OnceLock<(u32, Arc<[u8]>)> = OnceLock::new();
+    let (base, blob) = TABLES.get_or_init(|| {
+        let mut tb = TableBuilder::new(layout.tables);
+        tb.map_range(0, 0, 0x0060_0000, Access::KernelOnly);
+        tb.map_range(layout.data, layout.data, 0x0020_0000, Access::UserFull);
+        tb.map_range(
+            layout.cold,
+            layout.cold,
+            layout.cold_len,
+            Access::KernelOnly,
+        );
+        tb.map_range(
+            simbench_platform::DEVICE_BASE,
+            simbench_platform::DEVICE_BASE,
+            0x5000,
+            Access::KernelDevice,
+        );
+        let (base, blob) = tb.into_blob();
+        (base, blob.into())
+    });
+    (*base, Arc::clone(blob))
 }

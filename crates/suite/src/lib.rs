@@ -353,10 +353,22 @@ mod tests {
     #[test]
     fn all_images_assemble_on_every_isa() {
         fn check<S: Support>(s: &S) {
+            let mut tables: Option<std::sync::Arc<[u8]>> = None;
             for bench in Benchmark::ALL {
                 if bench.supported_on(S::ISA_NAME) {
                     let img = build(s, bench, 32).unwrap();
                     assert!(img.size() > 0, "{bench:?} {} image empty", S::ISA_NAME);
+                    let section = img
+                        .sections
+                        .iter()
+                        .find(|s| s.addr == Layout::default().tables);
+                    let bytes = &section.expect("page tables are loaded").bytes;
+                    let first = tables.get_or_insert_with(|| bytes.clone());
+                    assert!(
+                        std::sync::Arc::ptr_eq(first, bytes),
+                        "{bench:?}: every {} image shares one page-table blob",
+                        S::ISA_NAME
+                    );
                 }
             }
         }

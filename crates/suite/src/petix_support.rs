@@ -1,5 +1,7 @@
 //! The petix architecture + platform support package.
 
+use std::sync::{Arc, OnceLock};
+
 use simbench_core::asm::{PReg, PortableAsm};
 use simbench_core::fault::ExceptionKind;
 use simbench_core::image::GuestImage;
@@ -57,18 +59,7 @@ impl Support for PetixSupport {
         let layout = self.layout();
         let mut a = PetixAsm::new();
 
-        // Static x86-style two-level page tables, identity mapped.
-        let mut tb = TableBuilder::new(layout.tables);
-        tb.map_range(0, 0, 0x0060_0000, PtFlags::KERNEL);
-        tb.map_range(layout.data, layout.data, 0x0020_0000, PtFlags::USER_FULL);
-        tb.map_range(layout.cold, layout.cold, layout.cold_len, PtFlags::KERNEL);
-        tb.map_range(
-            simbench_platform::DEVICE_BASE,
-            simbench_platform::DEVICE_BASE,
-            0x5000,
-            PtFlags::KERNEL_DEVICE,
-        );
-        let (cr3, blob) = tb.into_blob();
+        let (cr3, tables) = page_tables(&layout);
 
         // Vector table.
         a.org(layout.vectors);
@@ -117,11 +108,9 @@ impl Support for PetixSupport {
         a.bind(code_entry);
         body(&mut a, self, &layout);
 
-        // Page tables.
-        a.org(layout.tables);
-        a.bytes(&blob);
-
-        a.finish(layout.boot)
+        let mut img = a.finish(layout.boot);
+        img.push_section(cr3, tables);
+        img
     }
 
     fn emit_safe_coproc_read(&self, a: &mut Self::Asm, rd: PReg) {
@@ -146,4 +135,27 @@ impl Support for PetixSupport {
     fn emit_tlb_flush(&self, a: &mut Self::Asm, scratch: PReg) {
         a.mov_to_cr(cr::TLB_FLUSH, scratch);
     }
+}
+
+/// Static x86-style two-level page tables, identity mapped. Every image
+/// maps the same ranges and the support's layout is fixed, so the blob
+/// is built once and shared by all of them. Returns `(table base,
+/// bytes)`.
+fn page_tables(layout: &Layout) -> (u32, Arc<[u8]>) {
+    static TABLES: OnceLock<(u32, Arc<[u8]>)> = OnceLock::new();
+    let (base, blob) = TABLES.get_or_init(|| {
+        let mut tb = TableBuilder::new(layout.tables);
+        tb.map_range(0, 0, 0x0060_0000, PtFlags::KERNEL);
+        tb.map_range(layout.data, layout.data, 0x0020_0000, PtFlags::USER_FULL);
+        tb.map_range(layout.cold, layout.cold, layout.cold_len, PtFlags::KERNEL);
+        tb.map_range(
+            simbench_platform::DEVICE_BASE,
+            simbench_platform::DEVICE_BASE,
+            0x5000,
+            PtFlags::KERNEL_DEVICE,
+        );
+        let (base, blob) = tb.into_blob();
+        (base, blob.into())
+    });
+    (*base, Arc::clone(blob))
 }

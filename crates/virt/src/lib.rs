@@ -636,7 +636,7 @@ impl<I: Isa, B: Bus> Engine<I, B> for Virt<I> {
                 match step_op(&mut ctx, op) {
                     OpOutcome::Next => {}
                     OpOutcome::Jump { target, flavor } => {
-                        simbench_interp::count_branch(ctx.counters, pc, target, flavor);
+                        ctx.counters.count_branch(pc, target, flavor);
                         new_pc = target;
                         break;
                     }

@@ -20,6 +20,12 @@
 //! allocation-free once warm — rings are fixed-capacity and metric
 //! registration happens exactly once.
 //!
+//! Since recycled guest RAM, the claim extends past the engine to a
+//! whole repetition: once warm, booting a [`Platform`] machine, running
+//! it and dropping it allocates nothing, because the platform's RAM and
+//! written-page map come back from the free list that the previous
+//! drop returned them to.
+//!
 //! Everything lives in ONE sequential test function: the obs enable
 //! flags are process-global, and a parallel test flipping them would
 //! push another test's hot loop onto the (allocating) warm-up path.
@@ -36,6 +42,7 @@ use simbench_core::machine::Machine;
 use simbench_dbt::Dbt;
 use simbench_interp::Interp;
 use simbench_isa_armlet::{Armlet, ArmletAsm};
+use simbench_platform::Platform;
 use simbench_virt::{Virt, VirtConfig};
 
 /// Counts every allocation and reallocation made by the current
@@ -106,6 +113,17 @@ fn measured_run<E: Engine<Armlet, FlatRam>>(engine: &mut E, img: &GuestImage) ->
     (delta, out)
 }
 
+/// Boot a [`Platform`] machine, run `engine` on it and drop it, all
+/// inside the measured window; return the allocation count.
+fn measured_platform_rep<E: Engine<Armlet, Platform>>(engine: &mut E, img: &GuestImage) -> u64 {
+    let before = allocs();
+    let mut m = Machine::<Armlet, _>::boot(img, Platform::with_ram(1 << 20));
+    let out = engine.run(&mut m, &RunLimits::insns(10_000_000));
+    assert_eq!(out.exit, ExitReason::Halted);
+    drop(m);
+    allocs() - before
+}
+
 #[test]
 fn warm_hot_loops_allocate_nothing() {
     let img = hot_loop_image(20_000);
@@ -172,6 +190,17 @@ fn warm_hot_loops_allocate_nothing() {
             "{name} steady state allocated {steady} times after warm-up"
         );
     }
+
+    // A whole repetition on the real platform: the first one allocates
+    // the RAM and grows the free list; every later boot takes the
+    // buffers back from it and every drop returns them.
+    let warmup = measured_platform_rep(&mut interp, &img);
+    assert!(warmup > 0, "the first boot allocates its RAM");
+    let steady = measured_platform_rep(&mut interp, &img);
+    assert_eq!(
+        steady, 0,
+        "boot + run + drop of a Platform machine allocated {steady} times once warm"
+    );
 
     // Enabled telemetry: the first instrumented run pays one-time costs
     // (per-thread ring creation, metric registration in the process
